@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.attack.kmeans import KMeans
 from repro.autograd import functional as F
@@ -28,6 +29,19 @@ from repro.models.trainer import Trainer, TrainingConfig
 from repro.utils.logging import get_logger
 
 logger = get_logger("attack.selection")
+
+#: Feature density (share of nonzero entries) at or below which the selector
+#: GCN trains on CSR features, so its first layer runs through spmm instead of
+#: a dense product.  Covers cora (0.023), citeseer (0.025) and flickr (0.034);
+#: denser features (tiny, 0.18) stay on the dense path.
+SPARSE_FEATURE_DENSITY = 0.1
+
+
+def _selector_features(features: np.ndarray) -> np.ndarray | sp.csr_matrix:
+    """``features`` as CSR when its density is at most :data:`SPARSE_FEATURE_DENSITY`."""
+    if np.count_nonzero(features) / features.size <= SPARSE_FEATURE_DENSITY:
+        return sp.csr_matrix(features)
+    return features
 
 
 @dataclass
@@ -159,7 +173,13 @@ class RepresentativeNodeSelector:
     def _node_representations(
         self, graph: GraphData, rng: np.random.Generator
     ) -> np.ndarray:
-        """Hidden representations of the selector GCN trained on the clean graph."""
+        """Hidden representations of the selector GCN trained on the clean graph.
+
+        The feature matrix is converted once (see :data:`SPARSE_FEATURE_DENSITY`)
+        and shared by training, every validation forward and the final
+        first-layer representation.
+        """
+        features = _selector_features(graph.features)
         selector = GCN(
             graph.num_features,
             graph.num_classes,
@@ -172,9 +192,7 @@ class RepresentativeNodeSelector:
             TrainingConfig(epochs=self.config.selector_epochs, patience=self.config.selector_epochs),
         )
         val_index = graph.split.val if graph.split.val.size else None
-        trainer.fit(
-            graph.adjacency, graph.features, graph.labels, graph.split.train, val_index
-        )
+        trainer.fit(graph.adjacency, features, graph.labels, graph.split.train, val_index)
         # First-layer hidden representation (post-ReLU), computed without grad.
         from repro.autograd.tensor import no_grad
         from repro.models.base import normalize_adjacency, propagate
@@ -182,7 +200,7 @@ class RepresentativeNodeSelector:
         selector.eval()
         with no_grad():
             operator = normalize_adjacency(graph.adjacency)
-            hidden = propagate(operator, selector.conv_0(selector.as_tensor(graph.features)))
+            hidden = propagate(operator, selector.conv_0(selector.as_tensor(features)))
             hidden = F.relu(hidden)
         return hidden.data
 

@@ -3,16 +3,18 @@
 The API intentionally mirrors a minimal subset of ``torch.nn`` so that the
 GNN model code reads like the reference implementation: ``Module`` tracks
 parameters and submodules recursively, ``Linear`` provides a dense layer with
-Glorot initialisation, and ``Sequential`` chains callables.
+Glorot initialisation (its input may be a dense tensor or a constant scipy
+sparse matrix), and ``Sequential`` chains callables.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
+import scipy.sparse as sp
 
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, sparse_matmul
 from repro.autograd import functional as F
 from repro.exceptions import AutogradError
 
@@ -145,8 +147,9 @@ class Linear(Module):
         if bias:
             self.bias = Parameter(np.zeros(out_features), name="bias")
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = x.matmul(self.weight)
+    def forward(self, x: Union[Tensor, sp.spmatrix]) -> Tensor:
+        """``x W + b``; a scipy sparse ``x`` is a constant input multiplied via spmm."""
+        out = sparse_matmul(x, self.weight) if sp.issparse(x) else x.matmul(self.weight)
         if self.use_bias:
             out = out + self.bias.reshape(1, -1)
         return out

@@ -85,20 +85,42 @@ class Adam(Optimizer):
         self._second_moment: Dict[int, np.ndarray] = {}
 
     def step(self) -> None:
+        """One Adam update, with the moments kept in per-parameter buffers.
+
+        The moments are allocated once and updated in place; the elementwise
+        operations run in the textbook order, so results are bit-identical to
+        the unfused expression chain.  ``param.data`` is rebound, never
+        written in place: state-dict snapshots and recorded vjp closures keep
+        references to the previous array.
+        """
         self._step_count += 1
         t = self._step_count
+        beta1, beta2 = self.beta1, self.beta2
         for param in self.parameters:
             if param.grad is None:
                 continue
             grad = param.grad
             if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            m = self._first_moment.get(id(param), np.zeros_like(param.data))
-            v = self._second_moment.get(id(param), np.zeros_like(param.data))
-            m = self.beta1 * m + (1.0 - self.beta1) * grad
-            v = self.beta2 * v + (1.0 - self.beta2) * grad ** 2
-            self._first_moment[id(param)] = m
-            self._second_moment[id(param)] = v
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                grad = self.weight_decay * param.data
+                grad += param.grad
+            key = id(param)
+            m = self._first_moment.get(key)
+            if m is None:
+                m = self._first_moment[key] = np.zeros_like(param.data)
+                self._second_moment[key] = np.zeros_like(param.data)
+            v = self._second_moment[key]
+            work = np.multiply(1.0 - beta1, grad, out=np.empty_like(m))
+            m *= beta1
+            m += work
+            np.square(grad, out=work)
+            work *= 1.0 - beta2
+            v *= beta2
+            v += work
+            # update = lr * m_hat / (sqrt(v_hat) + eps)
+            update = np.divide(m, 1.0 - beta1 ** t, out=np.empty_like(m))
+            update *= self.lr
+            np.divide(v, 1.0 - beta2 ** t, out=work)
+            np.sqrt(work, out=work)
+            work += self.eps
+            update /= work
+            param.data = param.data - update

@@ -8,7 +8,8 @@ topological sort of the graph and accumulates gradients.
 
 Dense data is stored as ``numpy.ndarray`` (float64 by default).  Sparse
 matrices participate only as *constants* on the left side of
-``sparse_matmul`` (graph propagation), which is exactly how GNNs use them.
+``sparse_matmul``: graph propagation, and sparse input features fed to a
+:class:`~repro.autograd.module.Linear` layer.
 """
 
 from __future__ import annotations
@@ -475,8 +476,9 @@ def sparse_matmul(matrix: sp.spmatrix, tensor: Tensor) -> Tensor:
         raise AutogradError("sparse_matmul expects a scipy sparse matrix as first operand")
     csr = matrix.tocsr()
     out_data = active_backend().spmm(csr, tensor.data)
-    transposed = csr.T.tocsr()
-    parents = [(tensor, lambda g: active_backend().spmm(transposed, g))]
     if not is_grad_enabled() or not tensor.requires_grad:
         return Tensor(out_data, requires_grad=False)
+    # The transpose is built inside the vjp so that forward-only calls
+    # (evaluation under ``no_grad``) never pay for it.
+    parents = [(tensor, lambda g: active_backend().spmm(csr.T.tocsr(), g))]
     return Tensor(out_data, requires_grad=True, parents=parents)

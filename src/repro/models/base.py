@@ -64,8 +64,15 @@ class NodeClassifier(Module):
         return np.argmax(logits.data, axis=1)
 
     @staticmethod
-    def as_tensor(features: Union[np.ndarray, Tensor]) -> Tensor:
-        return features if isinstance(features, Tensor) else Tensor(features)
+    def as_tensor(features: Union[np.ndarray, Tensor, sp.spmatrix]) -> Union[Tensor, sp.spmatrix]:
+        """Wrap dense features in a :class:`Tensor`; scipy sparse features pass through.
+
+        Sparse features are a constant input that only a first
+        :class:`~repro.autograd.module.Linear` layer consumes (via spmm).
+        """
+        if isinstance(features, Tensor) or sp.issparse(features):
+            return features
+        return Tensor(features)
 
 
 def register_architecture(name: str, factory: Callable[..., NodeClassifier]) -> None:

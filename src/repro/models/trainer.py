@@ -23,8 +23,11 @@ def _feature_array(features) -> np.ndarray:
     :class:`~repro.graph.view.StackedFeatures` (or a
     :class:`~repro.graph.view.PropagatedView`) handed to the trainer is
     materialised here, once — the object caches its own materialisation, so
-    repeated epochs over the same view pay the vstack a single time.
+    repeated epochs over the same view pay the vstack a single time.  Scipy
+    sparse features pass through as CSR, unchanged when already CSR.
     """
+    if sp.issparse(features):
+        return features.tocsr()
     if hasattr(features, "materialize"):
         return features.materialize()
     return np.asarray(features, dtype=np.float64)

@@ -123,3 +123,82 @@ class TestAdam:
         optimizer.step()
         assert not np.allclose(a.data, 0.0)
         assert not np.allclose(b.data, 0.0)
+
+
+def reference_adam(data, grads, lr, betas, eps, weight_decay):
+    """The unfused Adam expression chain, one fresh array per operation.
+
+    ``grads`` holds one list per step, one gradient (or ``None``) per array
+    in ``data``; returns the parameter arrays after every step.
+    """
+    beta1, beta2 = betas
+    data = [array.copy() for array in data]
+    first, second = {}, {}
+    history = []
+    for t, step_grads in enumerate(grads, start=1):
+        for index, grad in enumerate(step_grads):
+            if grad is None:
+                continue
+            if weight_decay:
+                grad = grad + weight_decay * data[index]
+            m = first.get(index, np.zeros_like(data[index]))
+            v = second.get(index, np.zeros_like(data[index]))
+            m = beta1 * m + (1.0 - beta1) * grad
+            v = beta2 * v + (1.0 - beta2) * grad ** 2
+            first[index], second[index] = m, v
+            m_hat = m / (1.0 - beta1 ** t)
+            v_hat = v / (1.0 - beta2 ** t)
+            data[index] = data[index] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        history.append([array.copy() for array in data])
+    return history
+
+
+class TestAdamFusedStep:
+    SHAPES = [(4, 3), (5,), (2, 2), ()]
+
+    def _run(self, weight_decay, seed=0, steps=50):
+        rng = np.random.default_rng(seed)
+        initial = [rng.normal(size=shape) for shape in self.SHAPES]
+        grads = []
+        for step in range(steps):
+            step_grads = []
+            for index, shape in enumerate(self.SHAPES):
+                # Parameter 2 never gets a gradient; parameter 1 skips every
+                # third step, so its moments must freeze while others advance.
+                skipped = index == 2 or (index == 1 and step % 3 == 0)
+                step_grads.append(None if skipped else rng.normal(size=shape))
+            grads.append(step_grads)
+        params = [Parameter(array.copy()) for array in initial]
+        optimizer = Adam(params, lr=0.01, weight_decay=weight_decay)
+        fused = []
+        for step_grads in grads:
+            for param, grad in zip(params, step_grads):
+                param.grad = None if grad is None else grad.copy()
+            optimizer.step()
+            fused.append([param.data.copy() for param in params])
+        expected = reference_adam(initial, grads, 0.01, (0.9, 0.999), 1e-8, weight_decay)
+        return fused, expected, initial
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    def test_fifty_steps_bit_identical_to_expression_chain(self, weight_decay):
+        fused, expected, _ = self._run(weight_decay)
+        for step, (got, want) in enumerate(zip(fused, expected)):
+            for index, (a, b) in enumerate(zip(got, want)):
+                assert np.array_equal(a, b), f"step {step}, parameter {index}"
+
+    def test_parameter_without_grad_is_untouched(self):
+        fused, _, initial = self._run(5e-4)
+        assert np.array_equal(fused[-1][2], initial[2])
+
+    def test_step_rebinds_and_never_mutates_previous_data(self):
+        p = Parameter(np.array([1.0, -2.0, 3.0]))
+        optimizer = Adam([p], lr=0.1, weight_decay=0.01)
+        for _ in range(3):
+            before = p.data
+            snapshot = before.copy()
+            optimizer.zero_grad()
+            quadratic_loss(p, np.zeros(3)).backward()
+            optimizer.step()
+            assert p.data is not before
+            assert np.array_equal(before, snapshot)
+            assert not np.array_equal(p.data, snapshot)

@@ -13,7 +13,11 @@ at ``atol=1e-10``:
   features, difference-form propagation) vs the materialised
   ``GraphData.with_delta`` path — same condensation metrics *and* same
   synthetic-graph gradients, for the gradient-matching and GC-SNTK
-  condensers and for a full BGC run.
+  condensers and for a full BGC run;
+* CSR input features (``Linear`` over ``sparse_matmul`` and the
+  representative-node selector below its density constant) vs the dense
+  ndarray path — same layer outputs and gradients, same hidden
+  representations, same selected nodes.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.attack import selection
+from repro.attack.selection import RepresentativeNodeSelector
 from repro.attack.trigger import (
     TriggerConfig,
     TriggerGenerator,
@@ -33,8 +39,9 @@ from repro.attack.trigger import (
     batched_local_trigger_loss,
     local_trigger_loss,
 )
-from repro.autograd import Tensor
+from repro.autograd import Linear, Tensor
 from repro.condensation.gradient_matching import all_class_model_gradients
+from repro.datasets import load_dataset
 from repro.exceptions import GraphValidationError
 from repro.graph.blocked import (
     BlockedArray,
@@ -829,3 +836,47 @@ class TestBlockedThresholdResolution:
             set_blocked_threshold(previous)
         monkeypatch.setenv("REPRO_BLOCKED_THRESHOLD", "888")
         assert blocked_threshold() == 888
+
+
+# --------------------------------------------------------------------- #
+# CSR features vs dense features
+# --------------------------------------------------------------------- #
+class TestSparseFeatureEquivalence:
+    """The dense ndarray path is the pinned reference for CSR features."""
+
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_linear_output_and_gradients_match_dense(self, bias):
+        rng = new_rng(0)
+        dense = rng.normal(size=(40, 30)) * (rng.random((40, 30)) < 0.05)
+        upstream = rng.normal(size=(40, 8))
+        results = []
+        for features in (Tensor(dense), sp.csr_matrix(dense)):
+            layer = Linear(30, 8, rng=new_rng(1), bias=bias)
+            out = layer(features)
+            (out * Tensor(upstream)).sum().backward()
+            results.append((out.data, [p.grad for p in layer.parameters()]))
+        (dense_out, dense_grads), (sparse_out, sparse_grads) = results
+        np.testing.assert_allclose(sparse_out, dense_out, rtol=0, atol=1e-12)
+        assert len(sparse_grads) == (2 if bias else 1)
+        for sparse_grad, dense_grad in zip(sparse_grads, dense_grads):
+            np.testing.assert_allclose(sparse_grad, dense_grad, rtol=0, atol=1e-12)
+
+    def test_density_constant_picks_the_path(self):
+        assert sp.issparse(selection._selector_features(load_dataset("cora").features))
+        tiny = load_dataset("tiny").features
+        assert selection._selector_features(tiny) is tiny
+
+    @pytest.mark.parametrize("dataset", ["cora", "citeseer"])
+    def test_selector_matches_dense_reference(self, dataset, monkeypatch):
+        graph = load_dataset(dataset)
+        for seed in (1, 2, 3):
+            picked = {}
+            for path, density in (("dense", 0.0), ("csr", 1.0)):
+                monkeypatch.setattr(selection, "SPARSE_FEATURE_DENSITY", density)
+                selector = RepresentativeNodeSelector()
+                nodes = selector.select(graph, budget=60, target_class=0, rng=new_rng(seed))
+                picked[path] = (nodes, selector._representations)
+            dense_nodes, dense_hidden = picked["dense"]
+            csr_nodes, csr_hidden = picked["csr"]
+            np.testing.assert_allclose(csr_hidden, dense_hidden, rtol=0, atol=1e-10)
+            np.testing.assert_array_equal(csr_nodes, dense_nodes)
