@@ -163,14 +163,14 @@ class GCSNTK(Condenser):
         labels = []
         train_index = graph.split.train
         train_labels = graph.labels[train_index]
+        # Noise relative to the propagated-feature scale (see gradient_matching).
+        noise_scale = self.config.feature_init_noise * float(propagated.std())
         for cls in range(graph.num_classes):
             count = int(budget[cls])
             candidates = train_index[train_labels == cls]
             if count == 0 or candidates.size == 0:
                 continue
             chosen = rng.choice(candidates, size=count, replace=candidates.size < count)
-            # Noise relative to the propagated-feature scale (see gradient_matching).
-            noise_scale = self.config.feature_init_noise * float(propagated.std())
             sampled = propagated[chosen] + rng.normal(
                 scale=noise_scale, size=(count, graph.num_features)
             )

@@ -91,7 +91,11 @@ def load_dataset(name: str, seed: int = 0) -> GraphData:
     re-holding) a graph per caller would dominate both time and memory.
     Callers must treat the returned graph as read-only (they already do:
     sweeps share one loaded graph across cells, and attacks operate on
-    views).  :func:`clear_dataset_cache` drops the memo.
+    views).  The same holds for an inductive graph's
+    :meth:`~repro.graph.data.GraphData.training_view`, which is memoised on
+    the loaded graph and so is shared between cells too.
+    :func:`clear_dataset_cache` drops the memo, and the training view
+    together with its parent graph.
 
     Parameters
     ----------
@@ -123,6 +127,7 @@ def clear_dataset_cache(name: str | None = None) -> None:
     regeneration; normal runs never need it.  Passing ``name`` drops only
     that dataset's entries — useful when evicting everything would force an
     expensive six-figure graph to regenerate in unrelated later tests.
+    A dropped graph's memoised training view goes with it.
     """
     if name is None:
         _DATASET_CACHE.clear()

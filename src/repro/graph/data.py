@@ -144,6 +144,17 @@ class GraphData:
         self.__dict__.update(state)
         self.version = next_version()
 
+    def __getstate__(self) -> Dict:
+        """Pickle the graph without its memoised :meth:`training_view`.
+
+        The view is derived data as large as the training subgraph; shipping
+        it would bloat every process / pool handoff.  The unpickled graph
+        draws a fresh version and rebuilds its own view on first use.
+        """
+        state = self.__dict__.copy()
+        state.pop("_training_view", None)
+        return state
+
     # -------------------------------------------------------------- #
     # Validation and basic properties
     # -------------------------------------------------------------- #
@@ -254,9 +265,20 @@ class GraphData:
         For transductive datasets this is the full graph.  For inductive
         datasets (Flickr / Reddit protocol) it is the subgraph induced by the
         training nodes, relabelled to ``0..n_train-1``.
+
+        The inductive view is built once and memoised on this graph, so every
+        cell run on a loaded dataset shares one view object — one version,
+        one :class:`~repro.graph.cache.PropagationCache` shard and one hop
+        chain instead of one per call.  Because it is shared, callers must
+        treat the returned graph as read-only, exactly like the graph
+        :func:`~repro.datasets.load_dataset` returns.  :meth:`with_`,
+        :meth:`with_delta`, :meth:`copy` and pickling never carry the memo.
         """
         if not self.inductive:
             return self
+        view = self.__dict__.get("_training_view")
+        if view is not None:
+            return view
         from repro.graph.subgraph import induced_subgraph
 
         sub_adj, sub_feat, sub_labels, mapping = induced_subgraph(
@@ -264,7 +286,7 @@ class GraphData:
         )
         train_idx = np.arange(len(self.split.train))
         empty = np.array([], dtype=np.int64)
-        return GraphData(
+        view = GraphData(
             adjacency=sub_adj,
             features=sub_feat,
             labels=sub_labels,
@@ -273,6 +295,8 @@ class GraphData:
             inductive=False,
             metadata={**self.metadata, "parent_nodes": float(self.num_nodes)},
         )
+        # setdefault: two threads racing here still end up sharing one view.
+        return self.__dict__.setdefault("_training_view", view)
 
     def summary(self) -> Dict[str, float]:
         """Return the headline statistics used in Table I."""

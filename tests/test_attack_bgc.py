@@ -130,13 +130,13 @@ class TestSeedDeterminism:
         attack = BGC(fast_attack_config(generator_steps=2, epochs=3))
         return attack.run(graph, fast_condenser(), new_rng(seed))
 
-    def test_bit_identical_poisoned_outputs(self, small_graph):
+    def _assert_same_seed_runs_identical(self, graph):
         from repro.graph.cache import PropagationCache, set_default_cache
 
         previous = set_default_cache(PropagationCache())
         try:
-            first = self._run_once(small_graph, seed=123)
-            second = self._run_once(small_graph, seed=123)
+            first = self._run_once(graph, seed=123)
+            second = self._run_once(graph, seed=123)
         finally:
             set_default_cache(previous)
 
@@ -152,6 +152,13 @@ class TestSeedDeterminism:
             assert p1.data.tobytes() == p2.data.tobytes()
         # Attack metrics history: exact float equality, not approximate.
         assert first.history == second.history
+
+    def test_bit_identical_poisoned_outputs(self, small_graph):
+        self._assert_same_seed_runs_identical(small_graph)
+
+    def test_bit_identical_on_inductive_graph(self, small_graph):
+        """Same-seed runs on an inductive graph share one memoised training view."""
+        self._assert_same_seed_runs_identical(small_graph.with_(inductive=True))
 
     def test_different_seeds_diverge(self, small_graph):
         first = self._run_once(small_graph, seed=123)

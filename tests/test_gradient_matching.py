@@ -217,6 +217,26 @@ class TestCondensers:
         # Budget is computed against the 18-node training view.
         assert condensed.num_nodes <= inductive.split.train.size
 
+    def test_inductive_cells_reuse_one_training_view(self, small_graph):
+        from repro.condensation.gcond import GCondX
+        from repro.graph.cache import PropagationCache
+
+        inductive = small_graph.with_(inductive=True)
+        cache = PropagationCache()
+        config = CondensationConfig(epochs=2, ratio=0.5)
+        first = GCondX(config, cache=cache).condense(inductive, new_rng(7))
+        after_first = cache.stats()
+        second = GCondX(config, cache=cache).condense(inductive, new_rng(7))
+        after_second = cache.stats()
+
+        assert first.features.tobytes() == second.features.tobytes()
+        assert first.adjacency.tobytes() == second.adjacency.tobytes()
+        np.testing.assert_array_equal(first.labels, second.labels)
+        # The second cell finds the shared view's hop chain already cached.
+        assert after_second["misses"] == after_first["misses"]
+        assert after_second["shards"] == after_first["shards"]
+        assert after_second["hits"] > after_first["hits"]
+
     def test_synthetic_labels_cover_training_classes(self, small_graph, rng):
         condenser = make_condenser("dc-graph", CondensationConfig(epochs=2, ratio=0.2))
         condensed = condenser.condense(small_graph, rng)

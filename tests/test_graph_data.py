@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -92,6 +95,57 @@ class TestTrainingView:
         view = inductive.training_view()
         # Every edge in the view must connect two training nodes of the parent.
         assert view.num_edges <= small_graph.num_edges
+
+
+class TestTrainingViewMemo:
+    """The inductive view is built once per graph and shared by every caller."""
+
+    @staticmethod
+    def assert_same_content(left, right):
+        assert (left.adjacency != right.adjacency).nnz == 0
+        assert left.features.tobytes() == right.features.tobytes()
+        np.testing.assert_array_equal(left.labels, right.labels)
+        np.testing.assert_array_equal(left.split.train, right.split.train)
+        assert left.name == right.name
+        assert left.metadata == right.metadata
+
+    def test_repeated_calls_return_one_object(self, small_graph):
+        inductive = small_graph.with_(inductive=True)
+        view = inductive.training_view()
+        assert inductive.training_view() is view
+        assert inductive.training_view().version == view.version
+        fresh = small_graph.with_(inductive=True).training_view()
+        assert fresh is not view
+        self.assert_same_content(view, fresh)
+
+    def test_derived_graphs_do_not_carry_the_memo(self, small_graph):
+        inductive = small_graph.with_(inductive=True)
+        view = inductive.training_view()
+        for derived in (
+            inductive.with_(name="renamed"),
+            dataclasses.replace(inductive, name="replaced"),
+            inductive.copy(),
+        ):
+            assert "_training_view" not in derived.__dict__
+            other = derived.training_view()
+            assert other is not view
+            assert other.version != view.version
+            assert other.features.tobytes() == view.features.tobytes()
+
+    def test_pickle_payload_does_not_ship_the_view(self, small_graph):
+        inductive = small_graph.with_(inductive=True)
+        before = len(pickle.dumps(inductive))
+        inductive.training_view()
+        assert len(pickle.dumps(inductive)) == before
+
+    def test_unpickled_graph_builds_its_own_view(self, small_graph):
+        inductive = small_graph.with_(inductive=True)
+        view = inductive.training_view()
+        restored = pickle.loads(pickle.dumps(inductive))
+        assert "_training_view" not in restored.__dict__
+        restored_view = restored.training_view()
+        assert restored_view.version != view.version
+        self.assert_same_content(restored_view, view)
 
 
 class TestSplits:
