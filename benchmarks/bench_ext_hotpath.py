@@ -163,9 +163,9 @@ SWEEP_WORKERS = 4
 #: with fewer, a parallel speedup is physically impossible and only the
 #: bit-identity claim is meaningful.
 SWEEP_SPEEDUP_FLOOR = 2.0
-#: Pool-vs-fork-per-cell grid: many minuscule cells, where per-cell process
-#: launch dominates.  The persistent pool must beat launching one process per
-#: cell by this factor; only asserted (non-smoke) when the host exposes at
+#: Reuse-vs-respawn grid: many minuscule cells, where per-cell process launch
+#: dominates.  Reusing workers (``pool``) must beat one cell per worker
+#: process (``process``) by this factor; only asserted (non-smoke) when the host exposes at
 #: least POOL_WORKERS usable cores.
 POOL_WORKERS = 4
 POOL_CELLS = 32
@@ -691,13 +691,14 @@ def _pool_throughput_spec(smoke: bool):
 
 
 def run_pool_throughput(smoke: bool = SMOKE) -> Dict[str, object]:
-    """Persistent pool vs fork-per-cell on the many-tiny-cell grid.
+    """Worker reuse vs one cell per worker process on the many-tiny-cell grid.
 
-    Both legs run ``POOL_WORKERS`` workers over the identical expanded grid
-    (all cells share the seed-0 ``tiny`` dataset, so the handoff is one
-    shard either way); the only difference is process lifetime — the
-    ``process`` backend launches one worker per cell, the ``pool`` backend
-    reuses ``POOL_WORKERS`` long-lived workers.  Records must be
+    Both legs run the same worker pool with ``POOL_WORKERS`` workers over
+    the identical expanded grid (all cells share the seed-0 ``tiny``
+    dataset, so the handoff is one shard either way); the only difference
+    is process lifetime — the ``process`` backend replaces its worker after
+    every cell (respawn per cell), the ``pool`` backend reuses
+    ``POOL_WORKERS`` long-lived workers.  Records must be
     bit-identical across both legs (and therefore to serial execution,
     whose identity the process backend already pins).
     """
@@ -1217,7 +1218,7 @@ def _report(results: Dict[str, float]) -> None:
 
     print_header(
         f"Pool throughput: {results['pool_cells']} minuscule cells, "
-        f"fork-per-cell vs persistent pool ({results['pool_workers']} workers)"
+        f"respawn per cell vs worker reuse ({results['pool_workers']} workers)"
     )
     print(f"{'backend':<14}{'wall-clock (s)':>16}{'speedup':>10}")
     print(f"{'process':<14}{results['pool_per_cell_s']:>16.2f}{1.0:>10.2f}")
@@ -1292,7 +1293,7 @@ def _sweep_floor_applies(results: Dict[str, float], smoke: bool) -> bool:
 
 
 def _pool_floor_applies(results: Dict[str, float], smoke: bool) -> bool:
-    """Whether the pool-vs-fork-per-cell floor is meaningful on this host."""
+    """Whether the reuse-vs-respawn floor is meaningful on this host."""
     return not smoke and results["sweep_cores"] >= results["pool_workers"]
 
 
@@ -1324,7 +1325,7 @@ def test_hotpath_cached_and_incremental_speedup():
         "parallel sweep records diverged from the serial run"
     )
     assert results["pool_records_match"], (
-        "persistent-pool records diverged from the fork-per-cell run"
+        "worker-reuse records diverged from the one-cell-per-worker run"
     )
     assert results["blocked_max_abs_err"] <= EQUIVALENCE_ATOL, (
         "blocked propagation diverged from the dense engine: "

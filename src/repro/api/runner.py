@@ -456,8 +456,9 @@ def cache_counters(stats: Mapping[str, int]) -> Dict[str, int]:
 def merge_cache_stats(stats_list: List[Mapping[str, int]]) -> Dict[str, int]:
     """Sum per-contributor cache counters into one sweep-level mapping.
 
-    The process backend feeds this the parent's handoff delta plus one
-    counter delta per completed worker; the serial backend feeds the single
+    The worker backends (``"process"`` — the pool with one cell per worker
+    process — and ``"pool"``) feed this the parent's handoff delta plus one
+    counter delta per completed cell; the serial backend feeds the single
     before/after delta of the shared cache.  ``contributors`` records how
     many deltas merged.
     """
@@ -476,8 +477,9 @@ class SweepRecord(List[RunRecord]):
     list-shaped callers keep working), enriched with sweep-level state:
     ``cache_stats`` merges the :class:`~repro.graph.cache.PropagationCache`
     counters of every contributor (the parent's handoff delta plus each
-    worker's delta under the process backend; the serial backend contributes
-    its single before/after delta).
+    cell's worker-side delta under the worker backends, ``"process"`` and
+    ``"pool"``; the serial backend contributes its single before/after
+    delta).
     """
 
     def __init__(
@@ -521,16 +523,18 @@ def run_sweep(
     invoked after each cell completes (in completion order — equal to
     dispatch order for the serial backend) and also receives failed records.
     ``execution`` overrides the sweep's own :class:`ExecutionSpec`: the
-    ``process`` backend fans cells out over worker processes with shard-aware
-    cache handoff (see :mod:`repro.api.parallel`) and is bit-identical to
-    serial execution for any worker count; ``on_error="record"`` turns cell
-    failures into structured failed records instead of aborting the sweep.
+    ``process`` backend (a worker pool with one cell per worker process) and
+    the ``pool`` backend (workers reused across cells) fan cells out with
+    shard-aware cache handoff (see :mod:`repro.api.parallel`) and are
+    bit-identical to serial execution for any worker count;
+    ``on_error="record"`` turns cell failures into structured failed records
+    instead of aborting the sweep.
     In the serial backend cells naming the same dataset (and dataset seed)
     share one loaded graph, and through it the shared
     :class:`~repro.graph.cache.PropagationCache`.  When
     ``execution.blocked_threshold`` is set, the blocked-propagation threshold
     override is installed for the duration of the sweep (and restored after),
-    covering the serial loop, the process-backend handoff and — via ``fork``
+    covering the serial loop, the worker backends' handoff and — via ``fork``
     inheritance or an explicit worker argument — every worker process.
     ``execution.kernel_backend`` is installed the same way (see
     :func:`repro.kernels.set_kernel_backend`), so every cell — serial,
@@ -577,15 +581,7 @@ def _run_sweep_cells(
     on_record: Callable[[RunRecord], None] | None,
 ) -> SweepRecord:
     """Dispatch the expanded grid to the selected backend (see run_sweep)."""
-    if execution.backend == "process":
-        from repro.api.parallel import run_sweep_process
-
-        records, cache_stats = run_sweep_process(
-            sweep, specs, order, execution, on_record
-        )
-        return SweepRecord(records, cache_stats=cache_stats)
-
-    if execution.backend == "pool":
+    if execution.backend in ("process", "pool"):
         from repro.api.parallel import run_sweep_pool
 
         records, cache_stats = run_sweep_pool(sweep, specs, order, execution, on_record)

@@ -251,34 +251,37 @@ class ExecutionSpec:
 
     Execution settings never change any cell's result: per-cell seeds are
     fixed at expansion time and records merge by canonical grid index, so a
-    sweep is bit-identical under ``serial`` and ``process`` backends for any
-    worker count.  The fields:
+    sweep is bit-identical under the ``serial``, ``process`` and ``pool``
+    backends for any worker count.  The fields:
 
     ``backend``
-        ``"serial"`` runs cells in the calling process (the default);
-        ``"process"`` runs each cell in its own worker process (a pool of at
-        most ``workers`` live at a time) with shard-aware
-        :class:`~repro.graph.cache.PropagationCache` handoff; ``"pool"``
-        reuses one long-lived worker process per slot across cells (see
-        :class:`~repro.service.pool.WorkerPool`) — same fault isolation and
-        bit-identical results, but grids of many tiny cells stop paying one
-        process launch per cell.
+        ``"serial"`` runs cells in the calling process (the default).  The
+        two worker backends both run on a
+        :class:`~repro.service.pool.WorkerPool` of ``workers`` processes
+        with shard-aware :class:`~repro.graph.cache.PropagationCache`
+        handoff (see :mod:`repro.api.parallel`): ``"process"`` is the pool
+        with one cell per worker process — each worker is replaced after
+        its cell, so no cell shares a process with another — while
+        ``"pool"`` reuses each worker across many cells, so grids of many
+        tiny cells stop paying one process launch per cell.  Same fault
+        isolation and bit-identical results either way.
     ``workers``
         Maximum number of concurrently live worker processes (ignored by the
         serial backend).
     ``timeout``
         Per-cell wall-clock budget in seconds (``None`` = unlimited).
-        Enforced by the process backend, which terminates the worker; the
-        serial backend cannot preempt a running cell and ignores it.  The
-        clock starts when the worker process launches, so the budget
-        includes worker startup (negligible under ``fork``; under the
-        ``spawn`` fallback it includes interpreter boot and imports — size
-        timeouts generously there).
+        Enforced by both worker backends, which terminate the worker and
+        replace it; the serial backend cannot preempt a running cell and
+        ignores it.  The clock starts when the cell is dispatched to an
+        already-running worker, so it does not include worker startup
+        (under the ``spawn`` fallback a just-replaced worker may still be
+        importing :mod:`repro` when its cell arrives — size timeouts
+        generously there).
     ``on_error``
         ``"raise"`` (default) propagates the first cell failure —
         the original exception for the serial backend, a
-        :class:`~repro.exceptions.SweepExecutionError` for the process
-        backend.  ``"record"`` turns a failed cell into a structured failed
+        :class:`~repro.exceptions.SweepExecutionError` for the worker
+        backends.  ``"record"`` turns a failed cell into a structured failed
         :class:`~repro.api.runner.RunRecord` (error type, message,
         traceback, timing) and keeps the sweep running.
     ``blocked_threshold``

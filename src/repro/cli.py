@@ -20,8 +20,9 @@ see :mod:`repro.service`)::
     python -m repro.cli jobs   --socket /tmp/repro.sock
 
 ``sweep`` executes serially by default; ``--workers N`` (N > 1) switches to
-the process-pool backend — bit-identical results, cells fanned out over N
-worker processes with shard-aware propagation-cache handoff.  ``--out``
+the process backend — bit-identical results, cells fanned out over a pool
+of N worker processes, one cell per worker process, with shard-aware
+propagation-cache handoff.  ``--out``
 streams one ``RunRecord`` JSON object per line in canonical grid order
 whatever the backend, so for successful cells serial and parallel runs of
 the same spec produce lines that differ only in their ``timings`` (a failed
@@ -98,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--backend", choices=EXECUTION_BACKENDS, default=None,
                        help="execution backend (overrides the spec's execution block)")
     sweep.add_argument("--cell-timeout", type=float, default=None,
-                       help="per-cell timeout in seconds (enforced by the process backend)")
+                       help="per-cell timeout in seconds (enforced by both worker "
+                            "backends, process and pool)")
     sweep.add_argument("--on-error", choices=ON_ERROR_MODES, default=None,
                        help="'record' turns a failing cell into a failed RunRecord and keeps "
                             "going (exit code 1 if any cell failed); 'raise' aborts the sweep")
@@ -142,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     transfer.add_argument("--backend", choices=EXECUTION_BACKENDS, default=None,
                           help="execution backend (overrides the spec's execution block)")
     transfer.add_argument("--cell-timeout", type=float, default=None,
-                          help="per-cell timeout in seconds (enforced by the process backend)")
+                          help="per-cell timeout in seconds (enforced by both worker "
+                               "backends, process and pool)")
     transfer.add_argument("--on-error", choices=ON_ERROR_MODES, default=None,
                           help="'record' keeps going past failing cells; 'raise' aborts")
     transfer.add_argument("--verbose", action="store_true", help="enable console logging")
@@ -352,7 +355,7 @@ def execution_from_args(args: argparse.Namespace, base: ExecutionSpec) -> Execut
 class _OrderedJsonlSink:
     """Stream RunRecords to a JSONL file in canonical grid order.
 
-    The process backend completes cells out of order; this reorder buffer
+    The worker backends complete cells out of order; this reorder buffer
     flushes a record only once every lower grid index has been written, so
     serial and parallel runs of the same sweep produce byte-comparable files
     (modulo the wall-clock ``timings``).

@@ -1,16 +1,14 @@
-"""Persistent worker pool: one long-lived process per slot, reused across cells.
+"""Worker pool: the one parallel executor for sweep cells.
 
-The PR 5 process backend (:mod:`repro.api.parallel`) forks one worker per
-*cell* — correct, but a grid of many tiny cells pays a process launch, a
-pipe setup and a join per cell.  This pool keeps ``workers`` processes alive
-and feeds them cells over duplex pipes, so the per-cell cost drops to one
-pickled task message and one pickled result.  The same pool serves two
-callers: :func:`repro.api.parallel.run_sweep_pool` (the
-``backend="pool"`` execution backend, one sweep per pool) and
-:class:`repro.service.jobs.CondensationService` (one pool for the lifetime
-of the service, multiplexing many concurrent jobs).
-
-Contract (shared with the per-cell backend):
+The pool keeps ``workers`` processes alive and feeds them cells over duplex
+pipes, so a reused worker runs a cell for one pickled task message and one
+pickled result rather than a process launch.  It serves every parallel
+caller: :func:`repro.api.parallel.run_sweep_pool` runs both worker backends
+of ``run_sweep`` on it — ``backend="pool"`` reuses each worker across many
+cells, and ``backend="process"`` is the pool with one cell per worker
+process (``recycle_after=1``) — and
+:class:`repro.service.jobs.CondensationService` keeps one pool for the
+lifetime of the service, multiplexing many concurrent jobs.
 
 **Determinism** — a worker derives every random stream of a cell from the
 cell's own ``spec.seed``; nothing about worker identity, reuse order or
@@ -29,7 +27,14 @@ remaining cells keep running — one poisoned cell never takes the pool down.
 **Recycling** — a worker is retired and replaced after ``recycle_after``
 completed cells (long-lived services must bound per-worker memory growth:
 dataset memos, propagation-cache shards and allocator fragmentation all
-accumulate in a worker that never exits) and, implicitly, on crash.
+accumulate in a worker that never exits) and, implicitly, on crash.  With
+``recycle_after=1`` every cell runs in a fresh worker process.
+
+**Copy-on-write sharing** — a worker calls :func:`gc.freeze` before its
+first cell, moving every object inherited from the parent into the
+permanent generation.  Without it the worker's first full collection writes
+the GC header of each inherited object and so turns the parent's shared
+pages into private copies.
 
 **Cache handoff** — workers forked at :meth:`WorkerPool.start` inherit the
 parent's dataset memo and warmed :class:`~repro.graph.cache.PropagationCache`
@@ -42,6 +47,7 @@ per worker per dataset, not once per cell.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import multiprocessing.connection
 import pickle
@@ -104,6 +110,8 @@ def _pool_worker_main(
     block files land where the parent's crash cleanup will look; the
     worker's scratch directory is removed on the way out.
     """
+    # Keep the inherited heap shared: a full collection must not touch it.
+    gc.freeze()
     if blocked_scratch_root is not None:
         set_scratch_root(blocked_scratch_root)
     cache = get_default_cache()
@@ -332,12 +340,18 @@ class WorkerPool:
         self.shutdown()
 
     def _stop_slot(self, slot: _WorkerSlot) -> None:
-        """Politely stop a worker, escalating to terminate/kill; clean scratch."""
-        try:
-            slot.connection.send(("stop",))
-        except (BrokenPipeError, OSError):
-            pass
-        slot.process.join(_TERMINATE_GRACE)
+        """Stop a worker and clean its scratch.
+
+        An idle worker is asked to exit; a busy one — whose cell's result
+        nobody will read — is terminated at once.  Either escalates to
+        SIGKILL if the process outlives the grace period.
+        """
+        if slot.current is None:
+            try:
+                slot.connection.send(("stop",))
+            except (BrokenPipeError, OSError):
+                pass
+            slot.process.join(_TERMINATE_GRACE)
         if slot.process.is_alive():
             slot.process.terminate()
             slot.process.join(_TERMINATE_GRACE)
@@ -628,7 +642,6 @@ class WorkerPool:
                 },
                 now - task.started,
             )
-            slot.process.terminate()
             with self._lock:
                 self._slots[position] = self._respawn(slot)
             slot.current = None

@@ -21,10 +21,12 @@ without ``fork``.
 
 from __future__ import annotations
 
+import gc
 import math
 import multiprocessing
 import os
 import pickle
+import re
 import time
 
 import numpy as np
@@ -42,6 +44,7 @@ from repro.exceptions import SweepExecutionError
 from repro.graph.blocked import process_scratch_dir
 from repro.graph.cache import PropagationCache
 from repro.registry import CONDENSERS
+from repro.service import pool as pool_module
 
 needs_fork = pytest.mark.skipif(
     preferred_start_method() != "fork",
@@ -167,6 +170,40 @@ def dying_condenser():
     CONDENSERS.unregister("die-test")
 
 
+@pytest.fixture
+def reporting_condenser():
+    """Register a condenser that raises with ``report()`` in its message."""
+    names = []
+
+    def register(name, report):
+        class _Reporting:
+            def condense(self, graph, rng):
+                raise RuntimeError(f"report={report()}")
+
+        CONDENSERS.register(name, factory=lambda **kwargs: _Reporting())
+        names.append(name)
+        return name
+
+    yield register
+    for name in names:
+        CONDENSERS.unregister(name)
+
+
+def reported_values(records) -> list:
+    """The ``report=<int>`` values carried by failed records' messages."""
+    return [
+        int(re.search(r"report=(-?\d+)", record.error["message"]).group(1))
+        for record in records
+    ]
+
+
+def seed_sweep(condenser: str, cells: int) -> SweepSpec:
+    """A ``cells``-cell grid over the seed axis of one condenser."""
+    payload = fault_sweep([condenser]).to_dict()
+    payload["axes"] = {"condenser": [condenser], "seed": list(range(cells))}
+    return SweepSpec.from_dict(payload)
+
+
 class TestParallelBitIdentity:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_worker_count_never_changes_results(self, workers, serial_baseline):
@@ -215,7 +252,7 @@ class TestParallelBitIdentity:
         leaked = [
             child
             for child in multiprocessing.active_children()
-            if child.name.startswith("repro-sweep-")
+            if child.name.startswith("repro-pool-")
         ]
         assert not leaked
 
@@ -283,7 +320,7 @@ class TestFaultInjection:
         leaked = [
             child
             for child in multiprocessing.active_children()
-            if child.name.startswith("repro-sweep-")
+            if child.name.startswith("repro-pool-")
         ]
         assert not leaked
 
@@ -327,6 +364,68 @@ class TestFaultInjection:
         assert records[0].ok
         assert records[1].status == "failed"
         assert records[1].error["type"] == "DatasetError"
+
+
+class TestWorkerLifetime:
+    @needs_fork
+    def test_process_backend_runs_each_cell_in_a_fresh_worker(
+        self, reporting_condenser
+    ):
+        name = reporting_condenser("pid-test", os.getpid)
+        sweep = seed_sweep(name, 4)
+        per_cell = run_sweep(
+            sweep,
+            execution=ExecutionSpec(backend="process", workers=2, on_error="record"),
+        )
+        reused = run_sweep(
+            sweep,
+            execution=ExecutionSpec(backend="pool", workers=1, on_error="record"),
+        )
+        assert len(set(reported_values(per_cell))) == 4
+        assert len(set(reported_values(reused))) == 1
+        assert os.getpid() not in reported_values(per_cell) + reported_values(reused)
+
+    @needs_fork
+    @pytest.mark.parametrize("backend", ["process", "pool"])
+    def test_workers_freeze_the_inherited_heap(self, backend, reporting_condenser):
+        """Inherited objects sit in the permanent GC generation in a worker."""
+        name = reporting_condenser("freeze-test", gc.get_freeze_count)
+        records = run_sweep(
+            seed_sweep(name, 2),
+            execution=ExecutionSpec(backend=backend, workers=1, on_error="record"),
+        )
+        assert all(count > 0 for count in reported_values(records))
+
+    @pytest.mark.parametrize("backend", ["serial", "process", "pool"])
+    def test_on_record_error_propagates(self, backend):
+        def sink(record):
+            raise ValueError("sink is full")
+
+        with pytest.raises(ValueError, match="sink is full"):
+            run_sweep(
+                fault_sweep(["gcond"]),
+                on_record=sink,
+                execution=ExecutionSpec(backend=backend, workers=1),
+            )
+
+    @needs_fork
+    def test_raise_mode_terminates_running_siblings(
+        self, crashing_condenser, sleeping_condenser
+    ):
+        """An aborted sweep does not wait for a busy worker to notice."""
+        start = time.perf_counter()
+        with pytest.raises(SweepExecutionError, match="deliberate crash-test"):
+            run_sweep(
+                fault_sweep([crashing_condenser, sleeping_condenser]),
+                execution=ExecutionSpec(backend="process", workers=2, on_error="raise"),
+            )
+        assert time.perf_counter() - start < pool_module._TERMINATE_GRACE
+        leaked = [
+            child
+            for child in multiprocessing.active_children()
+            if child.name.startswith("repro-pool-")
+        ]
+        assert not leaked
 
 
 class TestScratchCleanup:
