@@ -14,8 +14,9 @@ the structure generator), avoiding any double-backward machinery.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from repro.condensation.base import (
     Condenser,
 )
 from repro.exceptions import CondensationError
+from repro.graph.blocked import CLASS_ORDERED_MEMO, BlockedArray
 from repro.graph.cache import PropagationCache, get_default_cache
 from repro.graph.data import GraphData
 from repro.utils.logging import get_logger
@@ -94,8 +96,6 @@ def all_class_model_gradients(
     index = np.asarray(index, dtype=np.int64)
     if index.size == 0:
         return {}
-    from repro.graph.blocked import BlockedArray
-
     if isinstance(propagated, BlockedArray):
         return _blocked_all_class_model_gradients(
             propagated, labels, weight, index, num_classes
@@ -127,6 +127,55 @@ def all_class_model_gradients(
     return gradients
 
 
+class _ClassOrderedRows(NamedTuple):
+    """A blocked product's ``index`` rows, stable-sorted by label."""
+
+    key: bytes
+    rows: BlockedArray  # (len(index), d), a single block
+    order: np.ndarray
+    boundaries: np.ndarray
+
+
+def _class_ordered_rows(
+    propagated, index: np.ndarray, index_labels: np.ndarray, num_classes: int
+) -> _ClassOrderedRows:
+    """The class-ordered copy of ``propagated[index]``, memoised on ``propagated``.
+
+    The copy is a second, single-block :class:`~repro.graph.blocked.BlockedArray`
+    holding the ``index`` rows stable-sorted by label, written one class at a
+    time, so class ``c`` occupies rows ``boundaries[c]:boundaries[c + 1]``
+    and reads back as a view of one map, without a copy.  It is
+    keyed by a digest of ``index``, ``labels[index]`` and ``num_classes``: a
+    different training set or labelling rebuilds it, and
+    ``BlockedArray.write_rows`` on the source drops it.  Cached products are
+    shared, so every later epoch and cell on the same product reuses one
+    copy; it costs one ``len(index) x d`` scratch file and is deleted with
+    its source.
+    """
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(index.tobytes())
+    digest.update(np.ascontiguousarray(index_labels, dtype=np.int64).tobytes())
+    digest.update(np.int64(num_classes).tobytes())
+    key = digest.digest()
+    memo = propagated.__dict__.get(CLASS_ORDERED_MEMO)
+    if memo is not None and memo.key == key:
+        return memo
+    order = np.argsort(index_labels, kind="stable")
+    boundaries = np.searchsorted(index_labels[order], np.arange(num_classes + 1))
+    sorted_index = index[order]
+    rows = BlockedArray((index.size, propagated.shape[1]), block_size=index.size)
+    for cls in range(num_classes):
+        start, stop = boundaries[cls], boundaries[cls + 1]
+        if start < stop:
+            rows.write_rows(start, propagated.gather(sorted_index[start:stop]))
+    fresh = _ClassOrderedRows(key, rows, order, boundaries)
+    if memo is None:
+        # setdefault: two threads racing here still end up sharing one copy.
+        return propagated.__dict__.setdefault(CLASS_ORDERED_MEMO, fresh)
+    propagated.__dict__[CLASS_ORDERED_MEMO] = fresh
+    return fresh
+
+
 def _blocked_all_class_model_gradients(
     propagated,
     labels: np.ndarray,
@@ -136,19 +185,31 @@ def _blocked_all_class_model_gradients(
 ) -> Dict[int, np.ndarray]:
     """:func:`all_class_model_gradients` over a blocked hop product.
 
-    Never gathers the full ``(len(index), d)`` row matrix: the logits pass
-    streams one row block at a time, and each per-class gradient gathers only
-    that class's rows (bounded by the largest class, not the training set).
-    When the product holds a single block the arithmetic — gather, GEMM
-    shapes, division — is identical to the dense routine, so results are
-    bit-identical there; multi-block runs agree to round-off.
+    Never gathers the full ``(len(index), d)`` row matrix.  The logits pass
+    streams one row block at a time, slicing the block when its ``index``
+    rows form a contiguous range and fancy-indexing it otherwise.  The
+    per-class pass reads each class as one contiguous row range of the
+    memoised class-ordered copy (:func:`_class_ordered_rows`) instead of
+    gathering it from every block, so each row of the product and of the
+    copy is read once per call, and the working set is bounded by the
+    largest class plus one block.  Row values, GEMM operand shapes and
+    layouts are those of the per-class gather this replaces, so results are
+    bit-identical to it for any block size; they match the dense routine
+    bit for bit when the product holds a single block and to round-off
+    otherwise.
     """
     logits = np.empty((index.size, weight.shape[1]), dtype=np.float64)
-    for start, _, block in propagated.blocks():
-        mask = (index >= start) & (index < start + block.shape[0])
-        if not mask.any():
+    for start, stop, block in propagated.blocks():
+        positions = np.flatnonzero((index >= start) & (index < stop))
+        if positions.size == 0:
             continue
-        logits[mask] = block[index[mask] - start] @ weight
+        rows = index[positions] - start
+        if positions[-1] - positions[0] + 1 == positions.size and np.all(
+            np.diff(rows) == 1
+        ):
+            logits[positions[0] : positions[-1] + 1] = block[rows[0] : rows[-1] + 1] @ weight
+        else:
+            logits[positions] = block[rows] @ weight
     logits -= logits.max(axis=1, keepdims=True)
     np.exp(logits, out=logits)
     residual = logits
@@ -156,17 +217,15 @@ def _blocked_all_class_model_gradients(
     index_labels = labels[index]
     residual[np.arange(index.size), index_labels] -= 1.0
 
-    order = np.argsort(index_labels, kind="stable")
-    sorted_labels = index_labels[order]
-    sorted_index = index[order]
-    residual_sorted = residual[order]
-    boundaries = np.searchsorted(sorted_labels, np.arange(num_classes + 1))
+    ordered = _class_ordered_rows(propagated, index, index_labels, num_classes)
+    residual_sorted = residual[ordered.order]
+    boundaries = ordered.boundaries
     gradients: Dict[int, np.ndarray] = {}
     for cls in range(num_classes):
         start, stop = boundaries[cls], boundaries[cls + 1]
         if start == stop:
             continue
-        class_rows = propagated.gather(sorted_index[start:stop])
+        class_rows = ordered.rows.read_rows(start, stop)
         gradients[cls] = class_rows.T @ residual_sorted[start:stop] / (stop - start)
     return gradients
 
@@ -558,7 +617,7 @@ class GradientMatchingCondenser(Condenser):
         train_labels = graph.labels[train_index]
         # Noise is scaled by the feature standard deviation so the class
         # signal of the sampled rows is perturbed, not drowned out.
-        noise_scale = self.config.feature_init_noise * float(graph.features.std())
+        noise_scale = self.config.feature_init_noise * graph.feature_std()
         for cls in range(graph.num_classes):
             count = int(budget[cls])
             if count == 0:

@@ -71,6 +71,11 @@ DEFAULT_BLOCK_ROWS = 8192
 #: Default feature-column tile width of the spmm kernel.
 DEFAULT_COL_BLOCK = 256
 
+#: ``__dict__`` key under which :mod:`repro.condensation.gradient_matching`
+#: memoises a product's class-ordered row copy.  :meth:`BlockedArray.write_rows`
+#: drops it and pickling never carries it.
+CLASS_ORDERED_MEMO = "_class_ordered"
+
 _THRESHOLD_OVERRIDE: Optional[int] = None
 
 #: Memo of the last environment parse: ``(raw_env_string, parsed_value)``.
@@ -364,7 +369,12 @@ class BlockedArray:
             del block
 
     def write_rows(self, start: int, values: np.ndarray) -> None:
-        """Write consecutive rows beginning at ``start`` (may span blocks)."""
+        """Write consecutive rows beginning at ``start`` (may span blocks).
+
+        Drops the class-ordered copy memoised under
+        :data:`CLASS_ORDERED_MEMO`: it was derived from the old values.
+        """
+        self.__dict__.pop(CLASS_ORDERED_MEMO, None)
         values = np.ascontiguousarray(values, dtype=self.dtype)
         if values.ndim != 2 or values.shape[1] != self.shape[1]:
             raise GraphValidationError(
@@ -388,6 +398,40 @@ class BlockedArray:
             block.flush()
             del block
             offset += take
+
+    def read_rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows ``[start, stop)``, like ``dense[start:stop]`` (may span blocks).
+
+        The contiguous counterpart of :meth:`gather`: blocks are sliced,
+        never fancy-indexed.  A range inside one block comes back as a
+        read-only C-contiguous view of that block's map, without a copy (the
+        map closes when the view is dropped); a range spanning blocks is
+        copied into a fresh array one block slice at a time.
+        """
+        if not 0 <= start <= stop <= self.shape[0]:
+            raise GraphValidationError(
+                f"rows [{start}, {stop}) out of bounds for {self.shape[0]} rows"
+            )
+        if start == stop:
+            return np.empty((0, self.shape[1]), dtype=self.dtype)
+        index = start // self.block_size
+        block_start, block_stop = self._block_bounds(index)
+        if stop <= block_stop:
+            block = self._open_block(index, mode="r")
+            return np.asarray(block[start - block_start : stop - block_start])
+        out = np.empty((stop - start, self.shape[1]), dtype=self.dtype)
+        row = start
+        while row < stop:
+            index = row // self.block_size
+            block_start, block_stop = self._block_bounds(index)
+            take = min(block_stop, stop) - row
+            block = self._open_block(index, mode="r")
+            out[row - start : row - start + take] = block[
+                row - block_start : row - block_start + take
+            ]
+            del block
+            row += take
+        return out
 
     # -------------------------------------------------------------- #
     # ndarray-compatible reads

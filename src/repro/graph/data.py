@@ -145,14 +145,15 @@ class GraphData:
         self.version = next_version()
 
     def __getstate__(self) -> Dict:
-        """Pickle the graph without its memoised :meth:`training_view`.
+        """Pickle the graph without its memos (:meth:`training_view`, :meth:`feature_std`).
 
         The view is derived data as large as the training subgraph; shipping
         it would bloat every process / pool handoff.  The unpickled graph
-        draws a fresh version and rebuilds its own view on first use.
+        draws a fresh version and rebuilds its own memos on first use.
         """
         state = self.__dict__.copy()
         state.pop("_training_view", None)
+        state.pop("_feature_std", None)
         return state
 
     # -------------------------------------------------------------- #
@@ -206,6 +207,19 @@ class GraphData:
     @property
     def num_classes(self) -> int:
         return int(self.labels.max()) + 1 if self.labels.size else 0
+
+    def feature_std(self) -> float:
+        """Standard deviation over all of ``features``, memoised on this graph.
+
+        Condensers scale their initialisation noise by it once per cell; on a
+        memoised :meth:`training_view` the full pass over the features runs
+        once per loaded dataset instead.  Like the view, the memo assumes the
+        graph is treated as read-only.
+        """
+        value = self.__dict__.get("_feature_std")
+        if value is None:
+            value = self.__dict__.setdefault("_feature_std", float(self.features.std()))
+        return value
 
     def degrees(self) -> np.ndarray:
         """Return the (out-)degree of every node."""

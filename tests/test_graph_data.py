@@ -148,6 +148,28 @@ class TestTrainingViewMemo:
         self.assert_same_content(restored_view, view)
 
 
+class TestFeatureStdMemo:
+    def test_value_matches_numpy_and_is_memoised(self, small_graph):
+        value = small_graph.feature_std()
+        assert value == float(small_graph.features.std())
+        assert small_graph.__dict__["_feature_std"] == value
+        small_graph.__dict__["_feature_std"] = -1.0  # a memo hit skips the pass
+        assert small_graph.feature_std() == -1.0
+
+    def test_derived_graphs_do_not_carry_the_memo(self, small_graph):
+        small_graph.feature_std()
+        for derived in (small_graph.with_(name="renamed"), small_graph.copy()):
+            assert "_feature_std" not in derived.__dict__
+
+    def test_pickle_payload_does_not_ship_the_memo(self, small_graph):
+        before = len(pickle.dumps(small_graph))
+        small_graph.feature_std()
+        assert len(pickle.dumps(small_graph)) == before
+        restored = pickle.loads(pickle.dumps(small_graph))
+        assert "_feature_std" not in restored.__dict__
+        assert restored.feature_std() == small_graph.feature_std()
+
+
 class TestSplits:
     def test_planetoid_split_sizes(self, rng):
         labels = np.repeat(np.arange(4), 50)

@@ -17,7 +17,9 @@ at ``atol=1e-10``:
 * CSR input features (``Linear`` over ``sparse_matmul`` and the
   representative-node selector below its density constant) vs the dense
   ndarray path — same layer outputs and gradients, same hidden
-  representations, same selected nodes.
+  representations, same selected nodes;
+* the blocked class-gradient pass over the memoised class-ordered copy vs
+  the per-class gather it replaced — bit-identical at any block size.
 """
 
 from __future__ import annotations
@@ -44,9 +46,11 @@ from repro.condensation.gradient_matching import all_class_model_gradients
 from repro.datasets import load_dataset
 from repro.exceptions import GraphValidationError
 from repro.graph.blocked import (
+    CLASS_ORDERED_MEMO,
     BlockedArray,
     blocked_precompute_hops,
     blocked_spmm,
+    process_scratch_dir,
     set_blocked_threshold,
 )
 from repro.graph.cache import PropagationCache
@@ -676,7 +680,180 @@ class TestBlockedPropagationEquivalence:
             set_blocked_threshold(previous)
 
 
+def _reference_blocked_class_gradients(propagated, labels, weight, index, num_classes):
+    """The pinned reference of the blocked class-gradient pass.
+
+    Streams a fancy-indexed copy of every block for the logits and gathers
+    each class's rows from the product itself; the class-ordered fast path
+    must match it bit for bit.
+    """
+    logits = np.empty((index.size, weight.shape[1]), dtype=np.float64)
+    for start, _, block in propagated.blocks():
+        mask = (index >= start) & (index < start + block.shape[0])
+        if not mask.any():
+            continue
+        logits[mask] = block[index[mask] - start] @ weight
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    residual = logits
+    residual /= residual.sum(axis=1, keepdims=True)
+    index_labels = labels[index]
+    residual[np.arange(index.size), index_labels] -= 1.0
+    order = np.argsort(index_labels, kind="stable")
+    sorted_labels = index_labels[order]
+    sorted_index = index[order]
+    residual_sorted = residual[order]
+    boundaries = np.searchsorted(sorted_labels, np.arange(num_classes + 1))
+    gradients = {}
+    for cls in range(num_classes):
+        start, stop = boundaries[cls], boundaries[cls + 1]
+        if start == stop:
+            continue
+        class_rows = propagated.gather(sorted_index[start:stop])
+        gradients[cls] = class_rows.T @ residual_sorted[start:stop] / (stop - start)
+    return gradients
+
+
+def _blocked_product(graph, block_size: int) -> BlockedArray:
+    return blocked_spmm(gcn_normalize(graph.adjacency), graph.features, row_block=block_size)
+
+
+def _array_dirs() -> set:
+    root = process_scratch_dir()
+    return set(os.listdir(root)) if os.path.isdir(root) else set()
+
+
+class TestClassOrderedBlockedGradients:
+    """The class-ordered copy vs the pinned per-class-gather reference."""
+
+    @staticmethod
+    def _index(graph, kind: str) -> np.ndarray:
+        if kind == "contiguous":
+            return np.arange(graph.num_nodes)
+        if kind == "contiguous-subrange":
+            return np.arange(11, graph.num_nodes - 7)
+        if kind == "interleaved":  # each block's rows ascend, other blocks' rows between
+            half = graph.num_nodes // 2
+            return np.stack([np.arange(half), np.arange(half, 2 * half)], axis=1).ravel()
+        if kind == "unsorted":
+            return new_rng(64).permutation(graph.num_nodes)[: graph.num_nodes // 2]
+        assert kind == "missing-class"
+        return new_rng(65).permutation(np.flatnonzero(graph.labels != 1))
+
+    @pytest.mark.parametrize("block_size", [13, 90, 10_000])
+    @pytest.mark.parametrize(
+        "kind",
+        ["contiguous", "contiguous-subrange", "interleaved", "unsorted", "missing-class"],
+    )
+    def test_bit_identical_to_reference(self, small_graph, block_size, kind):
+        product = _blocked_product(small_graph, block_size)
+        index = self._index(small_graph, kind)
+        weight = new_rng(66).normal(
+            size=(small_graph.num_features, small_graph.num_classes)
+        )
+        args = (small_graph.labels, weight, index, small_graph.num_classes)
+        reference = _reference_blocked_class_gradients(product, *args)
+        for _ in range(2):  # the build call, then a memo hit
+            fast = all_class_model_gradients(product, *args)
+            assert set(fast) == set(reference)
+            for cls, gradient in reference.items():
+                assert np.array_equal(fast[cls], gradient), cls
+        if kind == "missing-class":
+            assert 1 not in fast
+
+    def _call(self, product, graph, index=None, labels=None):
+        weight = new_rng(67).normal(size=(graph.num_features, graph.num_classes))
+        return all_class_model_gradients(
+            product,
+            graph.labels if labels is None else labels,
+            weight,
+            graph.split.train if index is None else index,
+            graph.num_classes,
+        )
+
+    def test_second_call_reuses_the_memo(self, small_graph):
+        product = _blocked_product(small_graph, 13)
+        self._call(product, small_graph)
+        memo = product.__dict__[CLASS_ORDERED_MEMO]
+        dirs = _array_dirs()
+        self._call(product, small_graph)
+        assert product.__dict__[CLASS_ORDERED_MEMO] is memo
+        assert _array_dirs() == dirs
+
+    def test_changed_index_or_labels_rebuild_the_memo(self, small_graph):
+        product = _blocked_product(small_graph, 13)
+        self._call(product, small_graph)
+        first = product.__dict__[CLASS_ORDERED_MEMO]
+        old_directory = first.rows.directory
+        self._call(product, small_graph, index=small_graph.split.train[:-1])
+        second = product.__dict__[CLASS_ORDERED_MEMO]
+        assert second.key != first.key
+        assert second.rows.directory != old_directory
+        del first
+        gc.collect()
+        assert not os.path.exists(old_directory)  # the stale copy went with it
+        relabelled = small_graph.labels.copy()
+        relabelled[small_graph.split.train[0]] = (
+            relabelled[small_graph.split.train[0]] + 1
+        ) % small_graph.num_classes
+        self._call(product, small_graph, index=small_graph.split.train[:-1], labels=relabelled)
+        assert product.__dict__[CLASS_ORDERED_MEMO].key != second.key
+
+    def test_write_rows_drops_the_memo(self, small_graph):
+        product = _blocked_product(small_graph, 13)
+        before = self._call(product, small_graph)
+        assert CLASS_ORDERED_MEMO in product.__dict__
+        product.write_rows(0, 2.0 * product.materialize())
+        assert CLASS_ORDERED_MEMO not in product.__dict__
+        after = self._call(product, small_graph)
+        reference = _reference_blocked_class_gradients(
+            product,
+            small_graph.labels,
+            new_rng(67).normal(size=(small_graph.num_features, small_graph.num_classes)),
+            small_graph.split.train,
+            small_graph.num_classes,
+        )
+        for cls, gradient in reference.items():
+            assert np.array_equal(after[cls], gradient)
+        assert any(not np.array_equal(after[c], before[c]) for c in before)
+
+    def test_pickle_never_carries_the_memo(self, small_graph):
+        product = _blocked_product(small_graph, 13)
+        before = len(pickle.dumps(product))
+        self._call(product, small_graph)
+        assert CLASS_ORDERED_MEMO in product.__dict__
+        assert len(pickle.dumps(product)) == before
+        assert CLASS_ORDERED_MEMO not in pickle.loads(pickle.dumps(product)).__dict__
+
+    def test_copy_is_deleted_with_its_source(self, small_graph):
+        product = _blocked_product(small_graph, 13)
+        self._call(product, small_graph)
+        directories = [product.directory, product.__dict__[CLASS_ORDERED_MEMO].rows.directory]
+        assert all(os.path.isdir(path) for path in directories)
+        del product
+        gc.collect()
+        assert not any(os.path.exists(path) for path in directories)
+
+
 class TestBlockedStoreProperties:
+    def test_read_rows_spanning_block_boundaries(self):
+        dense = new_rng(75).normal(size=(50, 4))
+        store = BlockedArray((50, 4), block_size=8)
+        store.write_rows(0, dense)
+        for start, stop in [(0, 50), (0, 3), (5, 15), (14, 34), (47, 50), (8, 16)]:
+            rows = store.read_rows(start, stop)
+            assert rows.flags["C_CONTIGUOUS"] and type(rows) is np.ndarray
+            np.testing.assert_array_equal(rows, dense[start:stop])
+            # Inside one block: a read-only view of the map; across: a copy.
+            spans_blocks = stop > start and (stop - 1) // 8 != start // 8
+            assert rows.flags["WRITEABLE"] == spans_blocks, (start, stop)
+        for start in (0, 20, 50):
+            np.testing.assert_array_equal(store.read_rows(start, start), dense[start:start])
+        for start, stop in [(-1, 3), (48, 51), (10, 9)]:
+            with pytest.raises(GraphValidationError):
+                store.read_rows(start, stop)
+
+
     def test_write_rows_spanning_block_boundaries(self):
         rng = new_rng(71)
         mirror = np.zeros((50, 4))
