@@ -3,5 +3,5 @@
 Benchmarks print the regenerated tables/figures to stdout, so ``-s`` is the
 recommended invocation::
 
-    pytest benchmarks/ --benchmark-only -s
+    PYTHONPATH=src:benchmarks python -m pytest benchmarks/ -s
 """

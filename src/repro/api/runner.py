@@ -271,7 +271,10 @@ def _execute_attack(
     BGC-style attacks return a :class:`~repro.attack.bgc.BGCResult` whose
     node-adaptive generator drives :func:`evaluate_backdoor`;
     :class:`NaivePoison` returns ``(condensed, universal_pattern)``, evaluated
-    by blending the pattern into the test-node features.
+    by blending the pattern into the test-node features.  A directed attack
+    (``config.directed``) targets only its ``source_class``, so its ASR —
+    clean, attacked and defended alike — is measured on that class's test
+    nodes.
     """
     result = attack.run(graph, condenser, rng)
     if isinstance(result, tuple):
@@ -292,9 +295,13 @@ def _execute_attack(
 
     generator = result.generator
     target_class = int(result.target_class)
+    test_index = None
+    if getattr(attack.config, "directed", False):
+        test = graph.split.test
+        test_index = test[graph.labels[test] == attack.config.source_class]
 
     def generator_asr(model: Predictor) -> float:
-        return evaluate_backdoor(model, graph, generator, target_class)
+        return evaluate_backdoor(model, graph, generator, target_class, test_index=test_index)
 
     return result.condensed, generator_asr, int(result.poisoned_nodes.size)
 

@@ -252,7 +252,10 @@ class ExecutionSpec:
     Execution settings never change any cell's result: per-cell seeds are
     fixed at expansion time and records merge by canonical grid index, so a
     sweep is bit-identical under the ``serial``, ``process`` and ``pool``
-    backends for any worker count.  The fields:
+    backends for any worker count — at a fixed BLAS library and thread
+    count.  The BLAS thread count is not an execution setting: a different
+    ``OPENBLAS_NUM_THREADS`` can change the low bits of dense products and
+    with them the condensed-graph fingerprints.  The fields:
 
     ``backend``
         ``"serial"`` runs cells in the calling process (the default).  The
@@ -297,8 +300,8 @@ class ExecutionSpec:
         sweep remains bit-identical across backends.
     ``kernel_backend``
         Name of the :mod:`repro.kernels` backend the sweep's numerical
-        primitives dispatch through (``"numpy"``, ``"threaded"``, or any
-        name registered via
+        primitives dispatch through (``"numpy"``, or any name registered
+        via
         :func:`repro.kernels.register_kernel_backend`).  ``None`` (default)
         keeps the process-wide setting (the ``REPRO_KERNEL_BACKEND``
         environment variable or the built-in ``"numpy"`` default).  Like

@@ -4,7 +4,8 @@ Every hot primitive in :mod:`repro.autograd` and :mod:`repro.graph`
 dispatches through :func:`active_backend`, an instance of a registered
 :class:`~repro.kernels.base.KernelBackend`.  ``numpy`` is the pinned
 reference implementation (bit-identical to the pre-extraction inline
-code); ``threaded`` chunks spmm and batched matmul across a thread pool.
+code) and the only built-in backend; :func:`register_kernel_backend` adds
+others, e.g. an instrumented subclass that counts every primitive.
 
 Selection mirrors the blocked-threshold knob, in priority order:
 
@@ -26,14 +27,12 @@ from typing import Dict, Optional, Tuple, Type
 from repro.exceptions import ConfigurationError
 from repro.kernels.base import KernelBackend
 from repro.kernels.numpy_backend import NumpyBackend
-from repro.kernels.threaded import ThreadedBackend
 
 __all__ = [
     "DEFAULT_KERNEL_BACKEND",
     "KERNEL_BACKEND_ENV",
     "KernelBackend",
     "NumpyBackend",
-    "ThreadedBackend",
     "active_backend",
     "available_kernel_backends",
     "kernel_backend_name",
@@ -118,7 +117,7 @@ def set_kernel_backend(name: Optional[str]) -> Optional[str]:
 
     Returns the previous override so callers can restore it::
 
-        previous = set_kernel_backend("threaded")
+        previous = set_kernel_backend("numpy")
         try:
             ...
         finally:
@@ -144,4 +143,3 @@ def active_backend() -> KernelBackend:
 
 
 register_kernel_backend(NumpyBackend)
-register_kernel_backend(ThreadedBackend)

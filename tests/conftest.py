@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import build_small_graph
+from helpers import CountingBackend, build_small_graph
+from repro import kernels
 from repro.graph.data import GraphData
 from repro.graph.splits import SplitIndices
 from repro.utils.seed import new_rng
@@ -21,6 +22,19 @@ from repro.utils.seed import new_rng
 def rng() -> np.random.Generator:
     """A deterministic random generator."""
     return new_rng(12345)
+
+
+@pytest.fixture
+def counting_kernel(monkeypatch) -> str:
+    """Register :class:`~helpers.CountingBackend` for one test; returns its name.
+
+    The registry is swapped for a copy, so the backend is gone again after
+    the test and never leaks into e.g. the docs' list of shipped backends.
+    """
+    monkeypatch.setattr(kernels, "_REGISTRY", dict(kernels._REGISTRY))
+    kernels.register_kernel_backend(CountingBackend)
+    CountingBackend.calls.clear()
+    return CountingBackend.name
 
 
 @pytest.fixture

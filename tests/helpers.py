@@ -8,9 +8,12 @@ and silently shadows the other.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from repro.graph.data import GraphData
+from repro.kernels import NumpyBackend
 from repro.graph.generators import class_correlated_features, stochastic_block_model
 from repro.graph.splits import make_planetoid_split
 from repro.utils.seed import new_rng
@@ -62,3 +65,49 @@ def numerical_gradient(function, array: np.ndarray, epsilon: float = 1e-6) -> np
         flat[index] = original
         grad_flat[index] = (upper - lower) / (2.0 * epsilon)
     return gradient
+
+
+#: Every primitive of the :class:`~repro.kernels.base.KernelBackend` protocol.
+KERNEL_PRIMITIVES = (
+    "spmm",
+    "matmul",
+    "batched_matmul",
+    "transpose_last2",
+    "embed_blocks",
+    "scatter_add_rows",
+    "gather_scale",
+    "scale_csr",
+    "softmax_xent",
+    "softmax_xent_grad",
+)
+
+
+class CountingBackend(NumpyBackend):
+    """The numpy reference under another name, counting every primitive call.
+
+    The one non-reference kernel backend the suite selects: the
+    ``counting_kernel`` fixture registers it through
+    ``register_kernel_backend``, the way perfbench registers its
+    instrumented backend, so the conformance grid, the selection path
+    (``set_kernel_backend``, ``REPRO_KERNEL_BACKEND``,
+    ``ExecutionSpec.kernel_backend``) and its pinning in pool workers stay
+    under test.  ``calls`` counts this process's dispatches per primitive.
+    """
+
+    name = "counting"
+    calls: Counter = Counter()
+
+
+def _counted(primitive: str):
+    reference = getattr(NumpyBackend, primitive)
+
+    def method(self, *args, **kwargs):
+        CountingBackend.calls[primitive] += 1
+        return reference(self, *args, **kwargs)
+
+    method.__name__ = primitive
+    return method
+
+
+for _primitive in KERNEL_PRIMITIVES:
+    setattr(CountingBackend, _primitive, _counted(_primitive))

@@ -188,6 +188,65 @@ class TestRunExperiment:
             run_experiment(spec)
 
 
+def replay_attack_leg(spec: ExperimentSpec):
+    """Re-run a spec's attack leg and victim training outside the runner."""
+    from repro.api.runner import _resolve_attack, _resolve_condenser, _resolve_evaluation
+    from repro.datasets import load_dataset
+    from repro.evaluation.pipeline import train_model_on_condensed
+    from repro.utils.seed import spawn_rngs
+
+    graph = load_dataset(spec.dataset.name)
+    _, attack_rng, victim_rng, _, _ = spawn_rngs(spec.seed, 5)
+    result = _resolve_attack(spec).run(graph, _resolve_condenser(spec), attack_rng)
+    model = train_model_on_condensed(
+        result.condensed, graph, _resolve_evaluation(spec), victim_rng
+    )
+    return graph, result, model
+
+
+class TestDirectedAsr:
+    SOURCE_CLASS = 1
+
+    def test_directed_asr_is_measured_on_source_class_test_nodes(self):
+        from repro.evaluation.pipeline import evaluate_backdoor
+
+        # At seed 4 the source-class ASR differs from the all-node ASR, so
+        # the assertion tells the two measurements apart.
+        spec = tiny_attack_spec(
+            seed=4,
+            attack={
+                "name": "bgc",
+                "overrides": {
+                    "epochs": 2,
+                    "poison_ratio": 0.2,
+                    "directed": True,
+                    "source_class": self.SOURCE_CLASS,
+                },
+            }
+        )
+        record = run_experiment(spec)
+        graph, result, model = replay_attack_leg(spec)
+        test = graph.split.test
+        source_test = test[graph.labels[test] == self.SOURCE_CLASS]
+        source_asr = evaluate_backdoor(
+            model, graph, result.generator, result.target_class, test_index=source_test
+        )
+        assert source_asr != evaluate_backdoor(
+            model, graph, result.generator, result.target_class
+        )
+        assert record.attack_asr == source_asr
+
+    def test_undirected_asr_is_measured_on_every_test_node(self):
+        from repro.evaluation.pipeline import evaluate_backdoor
+
+        spec = tiny_attack_spec()
+        record = run_experiment(spec)
+        graph, result, model = replay_attack_leg(spec)
+        assert record.attack_asr == evaluate_backdoor(
+            model, graph, result.generator, result.target_class
+        )
+
+
 class TestRunSweep:
     def test_grid_produces_one_record_per_cell(self):
         records = run_sweep(smoke_sweep())

@@ -210,12 +210,11 @@ class TestKernelEnvironmentValidation:
         assert result.returncode == 2
         assert "unknown kernel backend 'banana'" in result.stderr
         assert "numpy" in result.stderr
-        assert "threaded" in result.stderr
         assert "hint:" in result.stderr
         assert "Traceback" not in result.stderr
 
     def test_registered_backend_is_accepted(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "threaded")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
         result = run_cli("datasets")
         assert result.returncode == 0, result.stderr
 

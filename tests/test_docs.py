@@ -97,9 +97,8 @@ class TestRegistryContract:
             "registered kernel backends missing from docs/api.md: "
             f"{missing} — update the kernel-backend table"
         )
-        # The env-var table claims completeness; the kernel knobs belong in it.
+        # The env-var table claims completeness; the kernel knob belongs in it.
         assert f"`{KERNEL_BACKEND_ENV}`" in api_text
-        assert "`REPRO_KERNEL_THREADS`" in api_text
 
 
 class TestJsonBlocks:

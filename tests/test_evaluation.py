@@ -1,4 +1,4 @@
-"""Unit tests for metrics, the evaluation pipeline and result aggregation."""
+"""Unit tests for metrics, the evaluation pipeline and reporting."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from repro.evaluation import (
     format_percent,
     format_table,
 )
-from repro.evaluation.experiment import ExperimentResult, aggregate_runs
 from repro.evaluation.pipeline import (
     evaluate_backdoor,
     evaluate_clean,
@@ -119,37 +118,6 @@ class TestPipeline:
     def test_invalid_evaluation_config(self):
         with pytest.raises(ConfigurationError):
             EvaluationConfig(epochs=0)
-
-
-class TestAggregation:
-    def test_aggregate_runs(self):
-        mean, std = aggregate_runs([0.5, 0.7])
-        assert mean == pytest.approx(0.6)
-        assert std == pytest.approx(0.1)
-
-    def test_aggregate_empty(self):
-        mean, std = aggregate_runs([])
-        assert np.isnan(mean)
-        assert np.isnan(std)
-
-    def test_experiment_result_row(self):
-        result = ExperimentResult(
-            dataset="cora",
-            condenser="gcond",
-            ratio=0.013,
-            clean_cta_mean=0.8,
-            clean_cta_std=0.01,
-            clean_asr_mean=0.1,
-            clean_asr_std=0.01,
-            attack_cta_mean=0.79,
-            attack_cta_std=0.02,
-            attack_asr_mean=0.99,
-            attack_asr_std=0.01,
-        )
-        row = result.as_row()
-        assert row["dataset"] == "cora"
-        assert row["ASR"] == 0.99
-        assert "C-CTA" in row
 
 
 class TestReporting:

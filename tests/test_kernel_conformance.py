@@ -4,15 +4,15 @@ The :class:`repro.kernels.base.KernelBackend` contract (see its docstring):
 primitives whose floating-point evaluation order is fixed by the reference
 must be **bit-identical** to :class:`~repro.kernels.NumpyBackend`; reductions
 a backend may legitimately reorder must agree within ``atol <= 1e-10``.  This
-suite runs every registered backend (plus an explicitly multi-threaded
-``ThreadedBackend``, which on a 1-core CI host would otherwise fall back to
-its serial path) against the reference over one shared grid of shapes and
+suite runs a non-reference backend — the test-local
+:class:`~helpers.CountingBackend`, registered the way any third-party
+backend would be — against the reference over one shared grid of shapes and
 edge cases — empty rows, single-row CSR, ``F=1``, 1-D operands,
 non-contiguous inputs, NaN/inf propagation — and then pins the end-to-end
 guarantees: the fused softmax-xent pass is bit-identical to the unfused
-autograd chain, a same-seed BGC cell is bit-identical across backends, and a
-same-seed tiny sweep is bit-identical across ``numpy``/``threaded`` ×
-``serial``/``process``/``pool``.
+autograd chain, a same-seed BGC cell is bit-identical across registered
+backends, and a same-seed tiny sweep is bit-identical across every
+registered backend × ``serial``/``process``/``pool``.
 """
 
 from __future__ import annotations
@@ -30,41 +30,19 @@ from repro.api import ExperimentSpec, run_experiment, run_sweep
 from repro.exceptions import ConfigurationError
 from repro.kernels import (
     NumpyBackend,
-    ThreadedBackend,
     active_backend,
     available_kernel_backends,
     kernel_backend_name,
     set_kernel_backend,
 )
 
+from helpers import CountingBackend
 from test_service import IDENTITY_FIELDS, assert_records_identical, smoke_sweep
 
 REFERENCE = NumpyBackend()
 
-
-def _registered_instance(name: str):
-    previous = set_kernel_backend(name)
-    try:
-        return active_backend()
-    finally:
-        set_kernel_backend(previous)
-
-
-def candidate_backends():
-    """Every registered non-reference backend, plus a forced-parallel threaded one."""
-    candidates = [
-        (name, _registered_instance(name))
-        for name in available_kernel_backends()
-        if name != "numpy"
-    ]
-    candidates.append(("threaded-w3", ThreadedBackend(workers=3)))
-    return candidates
-
-
-BACKENDS = candidate_backends()
-BACKEND_IDS = [name for name, _ in BACKENDS]
 BACKEND_PARAMS = pytest.mark.parametrize(
-    "backend", [instance for _, instance in BACKENDS], ids=BACKEND_IDS
+    "backend", [CountingBackend()], ids=[CountingBackend.name]
 )
 
 
@@ -93,8 +71,6 @@ def _csr_case(kind: str) -> sp.csr_matrix:
         dense[np.abs(dense) < 0.8] = 0.0
         return sp.csr_matrix(dense)
     if kind == "large":
-        # Big enough that ThreadedBackend takes its chunked parallel path
-        # (nnz * F clears the serial-fallback work threshold).
         return sp.random(400, 350, density=0.05, random_state=11, format="csr")
     raise AssertionError(kind)
 
@@ -308,17 +284,19 @@ class TestFusedLossConformance:
 class TestRegistryAndSelection:
     def test_reference_is_registered_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        assert "numpy" in available_kernel_backends()
-        assert "threaded" in available_kernel_backends()
+        assert available_kernel_backends() == ("numpy",)
         assert kernel_backend_name() == "numpy"
         assert active_backend().name == "numpy"
 
-    def test_override_wins_and_restores(self):
+    def test_registration_adds_a_selectable_backend(self, counting_kernel):
+        assert available_kernel_backends() == (counting_kernel, "numpy")
+
+    def test_override_wins_and_restores(self, counting_kernel):
         ambient = kernel_backend_name()
-        previous = set_kernel_backend("threaded")
+        previous = set_kernel_backend(counting_kernel)
         try:
-            assert kernel_backend_name() == "threaded"
-            assert active_backend().name == "threaded"
+            assert kernel_backend_name() == counting_kernel
+            assert isinstance(active_backend(), CountingBackend)
         finally:
             set_kernel_backend(previous)
         assert kernel_backend_name() == ambient
@@ -330,21 +308,14 @@ class TestRegistryAndSelection:
         for name in available_kernel_backends():
             assert name in message
 
-    def test_environment_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "threaded")
-        assert kernel_backend_name() == "threaded"
+    def test_environment_resolution(self, monkeypatch, counting_kernel):
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", counting_kernel)
+        assert kernel_backend_name() == counting_kernel
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "nope")
         with pytest.raises(ConfigurationError):
             kernel_backend_name()
         monkeypatch.delenv("REPRO_KERNEL_BACKEND")
         assert kernel_backend_name() == "numpy"
-
-    def test_threads_environment_sets_default_workers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_THREADS", "5")
-        assert ThreadedBackend().workers == 5
-        monkeypatch.setenv("REPRO_KERNEL_THREADS", "junk")
-        assert ThreadedBackend().workers >= 1
-        assert ThreadedBackend(workers=2).workers == 2
 
     def test_register_rejects_abstract_name(self):
         with pytest.raises(ConfigurationError):
@@ -366,7 +337,7 @@ def _bgc_cell(seed: int = 5) -> ExperimentSpec:
 
 
 class TestEndToEndIdentity:
-    def test_bgc_cell_bit_identical_across_backends(self):
+    def test_bgc_cell_bit_identical_across_backends(self, counting_kernel):
         """Same-seed BGC epochs produce identical records under every backend."""
         baseline = run_experiment(_bgc_cell(), cell_index=0)
         assert baseline.ok
@@ -379,10 +350,15 @@ class TestEndToEndIdentity:
             finally:
                 set_kernel_backend(previous)
             assert_records_identical(baseline, record)
+        # The cell really dispatched through the selected backend.
+        assert CountingBackend.calls["spmm"] > 0
+        assert CountingBackend.calls["softmax_xent"] > 0
 
     @pytest.mark.parametrize("exec_backend", ["serial", "process", "pool"])
-    def test_tiny_sweep_bit_identical_across_kernel_backends(self, exec_backend):
-        """numpy/threaded × serial/process/pool all agree bit for bit."""
+    def test_tiny_sweep_bit_identical_across_kernel_backends(
+        self, exec_backend, counting_kernel
+    ):
+        """numpy/counting × serial/process/pool all agree bit for bit."""
         sweep = smoke_sweep(seed=11)
         ambient = kernel_backend_name()  # numpy unless the env selects another
         baseline = run_sweep(sweep)  # serial, ambient backend

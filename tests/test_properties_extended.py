@@ -116,8 +116,7 @@ class TestKernelBackendProperties:
     """Algebraic invariants every kernel backend must satisfy.
 
     Shapes are drawn by hypothesis; each property is checked for every
-    registered backend plus a forced-parallel :class:`ThreadedBackend`
-    (the registered ``threaded`` singleton serialises on 1-core hosts).
+    registered backend plus the test-local :class:`~helpers.CountingBackend`.
     Linearity holds to float tolerance only — the reference itself
     reassociates ``A(x+y)`` vs ``Ax+Ay`` — while structural properties
     (identity no-op, transpose involution) are exact.
@@ -125,8 +124,8 @@ class TestKernelBackendProperties:
 
     @staticmethod
     def _backends():
+        from helpers import CountingBackend
         from repro.kernels import (
-            ThreadedBackend,
             active_backend,
             available_kernel_backends,
             set_kernel_backend,
@@ -139,7 +138,7 @@ class TestKernelBackendProperties:
                 instances.append(active_backend())
             finally:
                 set_kernel_backend(previous)
-        instances.append(ThreadedBackend(workers=3))
+        instances.append(CountingBackend())
         return instances
 
     @given(

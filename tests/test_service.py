@@ -305,18 +305,19 @@ class TestPoolBitIdentity:
         for a, b in zip(serial_baseline, records):
             assert_records_identical(a, b)
 
-    def test_threaded_kernel_under_pool_matches_serial_numpy(self, serial_baseline):
+    def test_registered_kernel_under_pool_matches_serial_numpy(
+        self, serial_baseline, counting_kernel
+    ):
         """Regression: pool workers apply the sweep's kernel backend.
 
-        Records must be bit-identical to the serial numpy baseline — the
-        threaded backend's chunked kernels preserve per-row accumulation
-        order, and the worker-side ``set_kernel_backend`` pin must not leak
-        into later dispatches once the sweep ends.
+        Records must be bit-identical to the serial numpy baseline, and the
+        worker-side ``set_kernel_backend`` pin must not leak into later
+        dispatches once the sweep ends.
         """
         records = run_sweep(
             smoke_sweep(),
             execution=ExecutionSpec(
-                backend="pool", workers=2, kernel_backend="threaded"
+                backend="pool", workers=2, kernel_backend=counting_kernel
             ),
         )
         assert len(records) == len(serial_baseline)
@@ -325,11 +326,11 @@ class TestPoolBitIdentity:
         assert kernel_backend_name() == "numpy"
 
     def test_pool_workers_resolve_kernel_environment(
-        self, monkeypatch, serial_baseline
+        self, monkeypatch, serial_baseline, counting_kernel
     ):
         """Workers see the parent's ``REPRO_KERNEL_BACKEND`` resolution even
         when the sweep's ``ExecutionSpec`` leaves ``kernel_backend`` unset."""
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "threaded")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", counting_kernel)
         records = run_sweep(
             smoke_sweep(), execution=ExecutionSpec(backend="pool", workers=2)
         )
