@@ -439,6 +439,15 @@ def derive_cell_seed(sweep_seed: int, cell_index: int) -> int:
     return int(sequence.generate_state(1, dtype=np.uint64)[0] >> 1)
 
 
+def _sorted_keys(value: Any) -> Any:
+    """``value`` with the keys of every nested mapping in sorted order."""
+    if isinstance(value, dict):
+        return {key: _sorted_keys(value[key]) for key in sorted(value)}
+    if isinstance(value, list):
+        return [_sorted_keys(item) for item in value]
+    return value
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A base :class:`ExperimentSpec` plus cartesian sweep axes.
@@ -533,8 +542,14 @@ class SweepSpec:
         )
 
     def to_json(self, indent: int | None = 2) -> str:
-        """Serialize to a canonical (sorted-keys) JSON string."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        """Serialize to a canonical JSON string.
+
+        Keys are sorted, except that ``axes`` keeps its order: that order is
+        the expansion order, and so fixes every derived cell seed.
+        """
+        payload = _sorted_keys(self.to_dict())
+        payload["axes"] = {axis: _sorted_keys(values) for axis, values in self.axes.items()}
+        return json.dumps(payload, indent=indent)
 
     @classmethod
     def from_json(cls, text: str) -> "SweepSpec":

@@ -236,6 +236,52 @@ class TestDirectedAsr:
         )
         assert record.attack_asr == source_asr
 
+    def test_directed_clean_and_defense_asr_use_source_class_test_nodes(self):
+        from repro.api.runner import _apply_defense, _resolve_condenser, _resolve_evaluation
+        from repro.registry import DEFENSES
+        from repro.evaluation.pipeline import evaluate_backdoor, train_model_on_condensed
+        from repro.utils.seed import spawn_rngs
+
+        spec = tiny_attack_spec(
+            seed=4,
+            attack={
+                "name": "bgc",
+                "overrides": {
+                    "epochs": 2,
+                    "poison_ratio": 0.2,
+                    "directed": True,
+                    "source_class": self.SOURCE_CLASS,
+                },
+            },
+            defense="prune",
+        )
+        record = run_experiment(spec)
+        graph, result, attacked_model = replay_attack_leg(spec)
+        clean_rng, _, _, eval_rng, defense_rng = spawn_rngs(spec.seed, 5)
+        evaluation = _resolve_evaluation(spec)
+        clean_model = train_model_on_condensed(
+            _resolve_condenser(spec).condense(graph, clean_rng), graph, evaluation, eval_rng
+        )
+        defended_model = _apply_defense(
+            DEFENSES.build("prune"), result.condensed, attacked_model, graph,
+            evaluation, defense_rng,
+        )
+        test = graph.split.test
+        source_test = test[graph.labels[test] == self.SOURCE_CLASS]
+
+        def asr(model, test_index=None):
+            return evaluate_backdoor(
+                model, graph, result.generator, result.target_class, test_index=test_index
+            )
+
+        assert record.clean_asr == asr(clean_model, source_test)
+        assert record.defense_asr == asr(defended_model, source_test)
+        # The source-class measurements differ from the all-node ones here.
+        assert (record.clean_asr, record.defense_asr) != (
+            asr(clean_model),
+            asr(defended_model),
+        )
+
     def test_undirected_asr_is_measured_on_every_test_node(self):
         from repro.evaluation.pipeline import evaluate_backdoor
 

@@ -155,6 +155,14 @@ class TestSweepSpec:
         assert SweepSpec.from_dict(sweep.to_dict()) == sweep
         assert SweepSpec.from_json(sweep.to_json()) == sweep
 
+    def test_json_round_trip_keeps_expansion_order(self):
+        """Regression: sorting the axes by name in ``to_json`` reordered the
+        grid, and with it every derived cell seed."""
+        sweep = self._sweep()
+        restored = SweepSpec.from_json(sweep.to_json())
+        assert list(restored.axes) == ["condenser", "attack.poison_ratio"]
+        assert restored.expand() == sweep.expand()
+
     def test_cartesian_expansion_order(self):
         cells = self._sweep().expand()
         assert len(cells) == 4

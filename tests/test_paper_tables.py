@@ -10,13 +10,15 @@ describe the paper's claims, not a one-epoch run on 60 nodes.
 from __future__ import annotations
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 from typing import Any
 
 import pytest
 
-from repro.api import SweepSpec, run_sweep
+from repro import cli
+from repro.api import RunRecord, SweepSpec, run_sweep
 
 from test_service import assert_records_identical
 
@@ -96,6 +98,23 @@ def test_table_runs_on_tiny(name):
     rows = table.rows(records)
     assert rows
     assert all(row.keys() == rows[0].keys() for row in rows)
+
+
+@pytest.mark.parametrize("name", list(EXPECTED_CELLS))
+def test_table_dumped_to_json_runs_through_cli_sweep(name, tmp_path, capsys):
+    """A table's sweep dumped with ``to_json`` runs under ``repro sweep --spec``
+    (the documented way to widen a grid) to the records ``run_sweep`` gives."""
+    sweep = on_tiny(TABLES[name].sweeps[0])
+    spec_path = tmp_path / "sweep.json"
+    out_path = tmp_path / "records.jsonl"
+    spec_path.write_text(sweep.to_json())
+    assert cli.main(["sweep", "--spec", str(spec_path), "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    lines = out_path.read_text().splitlines()
+    expected = run_sweep(sweep)
+    assert len(lines) == len(expected)
+    for record, line in zip(expected, lines):
+        assert_records_identical(record, RunRecord.from_dict(json.loads(line)))
 
 
 def test_table_is_bit_identical_serial_vs_pool():
